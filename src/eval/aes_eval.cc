@@ -1,5 +1,7 @@
 #include "eval/aes_eval.hh"
 
+#include "eval/ladder.hh"
+
 namespace autocc::eval
 {
 
@@ -22,15 +24,6 @@ runAesEvaluation(const AesEvalOptions &options)
     // Eval-level milestones in the unified event log (DESIGN.md §8):
     // the per-check events come from the engine; these mark phases.
     obs::EventLog *events = options.obs.events;
-    const auto phase =
-        [events](const std::string &message,
-                 std::vector<std::pair<std::string, std::string>>
-                     fields = {}) {
-            if (events) {
-                events->emit(obs::EventSeverity::Info, "eval", message,
-                             std::move(fields));
-            }
-        };
 
     AesConfig config;
     config.stages = options.stages;
@@ -40,13 +33,14 @@ runAesEvaluation(const AesEvalOptions &options)
     // that diverge because one had requests in flight at the switch.
     {
         config.declareIdleFlushDone = false;
-        phase("aes: A1 discovery (default FT)");
+        emitPhase(events, "aes: A1 discovery (default FT)");
         const core::RunResult run =
             core::runAutocc(duts::buildAes(config), opts, engine);
-        phase("aes: A1 phase done",
-              {{"found_cex", run.foundCex() ? "1" : "0"},
-               {"depth", std::to_string(
-                             run.foundCex() ? run.check.cex->depth : 0)}});
+        emitPhase(events, "aes: A1 phase done",
+                  {{"found_cex", run.foundCex() ? "1" : "0"},
+                   {"depth", std::to_string(run.foundCex()
+                                                ? run.check.cex->depth
+                                                : 0)}});
         result.a1Found = run.foundCex();
         result.a1Seconds = run.check.seconds;
         if (run.foundCex()) {
@@ -65,12 +59,12 @@ runAesEvaluation(const AesEvalOptions &options)
         EngineOptions proofEngine = engine;
         proofEngine.maxInductionK =
             options.stages + options.threshold + 4;
-        phase("aes: idle-flush refinement proof");
+        emitPhase(events, "aes: idle-flush refinement proof");
         const core::RunResult run =
             core::proveAutocc(duts::buildAes(config), opts, proofEngine);
-        phase("aes: proof phase done",
-              {{"proved", run.proved() ? "1" : "0"},
-               {"induction_k", std::to_string(run.check.inductionK)}});
+        emitPhase(events, "aes: proof phase done",
+                  {{"proved", run.proved() ? "1" : "0"},
+                   {"induction_k", std::to_string(run.check.inductionK)}});
         result.proved = run.proved();
         result.inductionK = run.check.inductionK;
         result.proofSeconds = run.check.seconds;

@@ -11,38 +11,6 @@ using duts::Cva6Config;
 using duts::Cva6Flush;
 using formal::EngineOptions;
 
-namespace
-{
-
-bool
-blames(const std::vector<std::string> &blamed, const std::string &what)
-{
-    for (const auto &name : blamed) {
-        if (name.find(what) != std::string::npos)
-            return true;
-    }
-    return false;
-}
-
-Cva6Step
-record(const RunResult &run)
-{
-    Cva6Step step;
-    step.foundCex = run.foundCex();
-    step.seconds = run.check.seconds;
-    if (run.foundCex()) {
-        step.depth = run.check.cex->depth;
-        step.failedAssert = run.check.cex->failedAssert;
-        step.blamed = run.cause.uarchNames();
-        step.staticMissed = run.staticMissed;
-        step.taintUnsound = run.taintUnsoundCex;
-        step.absintUnsound = run.absintUnsoundCex;
-    }
-    return step;
-}
-
-} // namespace
-
 std::vector<Cva6Step>
 runCva6Evaluation(const Cva6EvalOptions &options)
 {
@@ -52,15 +20,6 @@ runCva6Evaluation(const Cva6EvalOptions &options)
     engine.jobs = options.jobs;
     engine.obs = options.obs;
     obs::EventLog *events = options.obs.events;
-    const auto phase =
-        [events](const std::string &message,
-                 std::vector<std::pair<std::string, std::string>>
-                     fields = {}) {
-            if (events) {
-                events->emit(obs::EventSeverity::Info, "eval", message,
-                             std::move(fields));
-            }
-        };
     AutoccOptions opts;
     opts.threshold = options.threshold;
     // The paper adds the OS-handled state (PC, regfile, CSR) upfront;
@@ -70,7 +29,7 @@ runCva6Evaluation(const Cva6EvalOptions &options)
 
     // ---- Phase 1: full-flush fence.t (known channels) ----------------
     if (options.includeFullFlush) {
-        phase("cva6: full-flush fence.t validation");
+        emitPhase(events, "cva6: full-flush fence.t validation");
         Cva6Config config;
         config.flush = Cva6Flush::FullFlush;
         // This phase validates the previously-known fence.t channels
@@ -80,7 +39,8 @@ runCva6Evaluation(const Cva6EvalOptions &options)
         config.fixC1 = true;
         const RunResult run =
             core::runAutocc(duts::buildCva6(config), opts, engine);
-        Cva6Step step = record(run);
+        Cva6Step step = run.foundCex() ? cexStep(run) : Cva6Step{};
+        step.seconds = run.check.seconds;
         step.id = "CF";
         if (blames(step.blamed, "frontend.ic_state")) {
             step.description =
@@ -95,16 +55,25 @@ runCva6Evaluation(const Cva6EvalOptions &options)
     }
 
     // ---- Phase 2: microreset, fix C1 / C2 / C3 as they surface --------
+    // The first iteration without a CEX is the fix validation.
     Cva6Config config;
     config.flush = Cva6Flush::Microreset;
+    const auto validate = [&](const RunResult &run) {
+        emitPhase(events, "cva6: fix validation",
+                  {{"steps_so_far", std::to_string(steps.size())}});
+        steps.push_back(
+            proofStep(run, "fixed microreset: CEXs no longer found"));
+    };
     for (unsigned iter = 0; iter < 6; ++iter) {
-        phase("cva6: microreset iteration",
-              {{"iter", std::to_string(iter)}});
+        emitPhase(events, "cva6: microreset iteration",
+                  {{"iter", std::to_string(iter)}});
         const RunResult run =
             core::runAutocc(duts::buildCva6(config), opts, engine);
-        if (!run.foundCex())
-            break;
-        Cva6Step step = record(run);
+        if (!run.foundCex()) {
+            validate(run);
+            return steps;
+        }
+        Cva6Step step = cexStep(run);
         if (!config.fixC1 && blames(step.blamed, "frontend.ic_data")) {
             step.id = "C1";
             step.description =
@@ -133,25 +102,7 @@ runCva6Evaluation(const Cva6EvalOptions &options)
         }
         steps.push_back(std::move(step));
     }
-
-    // ---- Fix validation ------------------------------------------------
-    {
-        phase("cva6: fix validation",
-              {{"steps_so_far", std::to_string(steps.size())}});
-        EngineOptions deep = engine;
-        deep.maxDepth = options.proofDepth;
-        const RunResult run =
-            core::runAutocc(duts::buildCva6(config), opts, deep);
-        Cva6Step step = record(run);
-        step.id = "proof";
-        step.description = "fixed microreset: CEXs no longer found";
-        step.depth = run.check.bound;
-        step.refinement = run.foundCex()
-            ? "unexpected CEX"
-            : "bounded proof (depth " +
-              std::to_string(run.check.bound) + ")";
-        steps.push_back(std::move(step));
-    }
+    validate(core::runAutocc(duts::buildCva6(config), opts, engine));
     return steps;
 }
 

@@ -11,40 +11,23 @@
 #ifndef AUTOCC_EVAL_CVA6_EVAL_HH
 #define AUTOCC_EVAL_CVA6_EVAL_HH
 
-#include <string>
 #include <vector>
 
-#include "core/autocc.hh"
 #include "duts/cva6.hh"
+#include "eval/ladder.hh"
 
 namespace autocc::eval
 {
 
-/** One discovered CEX / refinement step on CVA6. */
-struct Cva6Step
-{
-    std::string id;          ///< CF (full flush), C1..C3, "proof"
-    std::string description;
-    std::string refinement;
-    bool foundCex = false;
-    unsigned depth = 0;
-    double seconds = 0.0;
-    std::string failedAssert;
-    std::vector<std::string> blamed;
-    /** Blamed state missing from the static candidate set (expect []). */
-    std::vector<std::string> staticMissed;
-    /** Discharge-claimed asserts the CEX violates (expect []). */
-    std::vector<std::string> taintUnsound;
-    /** Absint-reduction claims the CEX replay contradicts (expect []). */
-    std::vector<std::string> absintUnsound;
-};
+/** One step of the CVA6 ladder: CF (full flush), C1..C3 or "proof". */
+using Cva6Step = LadderStep;
 
 /** Options for the CVA6 run. */
 struct Cva6EvalOptions
 {
     unsigned threshold = 2;
+    /** BMC bound of every check; the final design's proof reaches it. */
     unsigned maxDepth = 18;
-    unsigned proofDepth = 18;
     /** Include the full-flush phase (an extra, slower FPV run). */
     bool includeFullFlush = true;
     /** Portfolio workers per check (1 = sequential, 0 = auto). */

@@ -28,11 +28,6 @@ assumeOutbufEmptyAtSwitch(Miter &miter)
 namespace
 {
 
-struct OneRun
-{
-    core::RunResult run;
-};
-
 core::RunResult
 runOnce(const MapleConfig &config, const AutoccOptions &opts,
         const EngineOptions &engine, bool buf_assumption)
@@ -53,16 +48,6 @@ runOnce(const MapleConfig &config, const AutoccOptions &opts,
     return result;
 }
 
-bool
-blames(const std::vector<std::string> &blamed, const std::string &what)
-{
-    for (const auto &name : blamed) {
-        if (name.find(what) != std::string::npos)
-            return true;
-    }
-    return false;
-}
-
 } // namespace
 
 std::vector<MapleStep>
@@ -75,39 +60,35 @@ runMapleEvaluation(const MapleEvalOptions &options)
     engine.obs = options.obs;
     AutoccOptions opts;
     opts.threshold = options.threshold;
-
     obs::EventLog *events = options.obs.events;
-    const auto phase =
-        [events](const std::string &message,
-                 std::vector<std::pair<std::string, std::string>>
-                     fields = {}) {
-            if (events) {
-                events->emit(obs::EventSeverity::Info, "eval", message,
-                             std::move(fields));
-            }
-        };
 
     MapleConfig config;
     bool bufAssumption = false;
 
+    // Fix validation: the fixed RTL (plus the M1 assumption) yields a
+    // bounded proof, confirming the channels are closed.
+    const auto validate = [&](const core::RunResult &run) {
+        emitPhase(events, "maple: fix validation",
+                  {{"steps_so_far", std::to_string(steps.size())}});
+        steps.push_back(proofStep(run, "fixed RTL: CEXs no longer found"));
+    };
+
     for (unsigned iter = 0; iter < 6; ++iter) {
-        phase("maple: refinement iteration",
-              {{"iter", std::to_string(iter)}});
+        emitPhase(events, "maple: refinement iteration",
+                  {{"iter", std::to_string(iter)}});
         const core::RunResult run =
             runOnce(config, opts, engine, bufAssumption);
-        if (!run.foundCex())
-            break;
+        if (!run.foundCex()) {
+            // The validation check carries the M1 assumption: reuse
+            // this one only if it already did.
+            if (bufAssumption)
+                validate(run);
+            else
+                validate(runOnce(config, opts, engine, true));
+            return steps;
+        }
 
-        MapleStep step;
-        step.foundCex = true;
-        step.depth = run.check.cex->depth;
-        step.seconds = run.check.seconds;
-        step.failedAssert = run.check.cex->failedAssert;
-        step.blamed = run.cause.uarchNames();
-        step.staticMissed = run.staticMissed;
-        step.taintUnsound = run.taintUnsoundCex;
-        step.absintUnsound = run.absintUnsoundCex;
-
+        MapleStep step = cexStep(run);
         // One user action per CEX, mirroring the paper's responses.
         if (!config.fixTlbEnable &&
             blames(step.blamed, MapleSignals::tlbEnable)) {
@@ -140,27 +121,7 @@ runMapleEvaluation(const MapleEvalOptions &options)
         }
         steps.push_back(std::move(step));
     }
-
-    // Fix validation: the fixed RTL (plus the M1 assumption) yields a
-    // bounded proof, confirming the channels are closed.
-    {
-        phase("maple: fix validation",
-              {{"steps_so_far", std::to_string(steps.size())}});
-        EngineOptions deep = engine;
-        deep.maxDepth = options.proofDepth;
-        const core::RunResult run = runOnce(config, opts, deep, true);
-        MapleStep step;
-        step.id = "proof";
-        step.description = "fixed RTL: CEXs no longer found";
-        step.foundCex = run.foundCex();
-        step.depth = run.check.bound;
-        step.seconds = run.check.seconds;
-        step.refinement = run.foundCex()
-            ? "unexpected CEX"
-            : "bounded proof (depth " +
-              std::to_string(run.check.bound) + ")";
-        steps.push_back(std::move(step));
-    }
+    validate(runOnce(config, opts, engine, true));
     return steps;
 }
 

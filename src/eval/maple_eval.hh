@@ -10,40 +10,23 @@
 #ifndef AUTOCC_EVAL_MAPLE_EVAL_HH
 #define AUTOCC_EVAL_MAPLE_EVAL_HH
 
-#include <string>
 #include <vector>
 
-#include "core/autocc.hh"
 #include "duts/maple.hh"
+#include "eval/ladder.hh"
 
 namespace autocc::eval
 {
 
-/** One discovered-CEX / refinement step on MAPLE. */
-struct MapleStep
-{
-    std::string id;          ///< M1 / M2 / M3 / "proof"
-    std::string description;
-    std::string refinement;  ///< the user action taken afterwards
-    bool foundCex = false;
-    unsigned depth = 0;
-    double seconds = 0.0;
-    std::string failedAssert;
-    std::vector<std::string> blamed;
-    /** Blamed state missing from the static candidate set (expect []). */
-    std::vector<std::string> staticMissed;
-    /** Discharge-claimed asserts the CEX violates (expect []). */
-    std::vector<std::string> taintUnsound;
-    /** Absint-reduction claims the CEX replay contradicts (expect []). */
-    std::vector<std::string> absintUnsound;
-};
+/** One step of the MAPLE ladder: M1 / M2 / M3 or "proof". */
+using MapleStep = LadderStep;
 
 /** Options for the MAPLE run. */
 struct MapleEvalOptions
 {
     unsigned threshold = 2;
-    unsigned maxDepth = 12;
-    unsigned proofDepth = 14;
+    /** BMC bound of every check; the fixed design's proof reaches it. */
+    unsigned maxDepth = 14;
     /** Portfolio workers per check (1 = sequential, 0 = auto). */
     unsigned jobs = 0;
     /** Observability sinks threaded into every check of the eval. */

@@ -51,44 +51,40 @@ runVscaleRefinement(const VscaleEvalOptions &options)
     engine.maxDepth = options.maxDepth;
     engine.jobs = options.jobs;
     engine.obs = options.obs;
-
     obs::EventLog *events = options.obs.events;
-    const auto phase =
-        [events](const std::string &message,
-                 std::vector<std::pair<std::string, std::string>>
-                     fields = {}) {
-            if (events) {
-                events->emit(obs::EventSeverity::Info, "eval", message,
-                             std::move(fields));
-            }
-        };
 
     VscaleConfig config;
     AutoccOptions opts;
     opts.threshold = options.threshold;
 
+    // The final step: with the refined FT the engine keeps searching
+    // and reaches a bounded proof — the same outcome the paper reports
+    // for Vscale ("a bounded proof of depth 21" after 24h; we use a
+    // smaller bound on the downsized model).
+    const auto prove = [&](const RunResult &run) {
+        emitPhase(events, "vscale: bounded-proof attempt",
+                  {{"steps_so_far", std::to_string(steps.size())}});
+        steps.push_back(
+            proofStep(run, "no CEX under the trusted-OS assumption"));
+    };
+
     // Iteratively refine, exactly as the paper recommends: run the
     // default FT, inspect each CEX with FindCause, declare the blamed
     // state architectural (the OS restores it) — except the CSR block,
     // which is blackboxed instead, mirroring the paper's V2 action.
+    // The first iteration without a CEX is the proof.
     for (unsigned iter = 0; iter < 10; ++iter) {
-        phase("vscale: refinement iteration",
-              {{"iter", std::to_string(iter)}});
+        emitPhase(events, "vscale: refinement iteration",
+                  {{"iter", std::to_string(iter)}});
         const RunResult run =
             core::runAutocc(duts::buildVscale(config), opts, engine);
-        if (!run.foundCex())
-            break;
+        if (!run.foundCex()) {
+            prove(run);
+            return steps;
+        }
 
-        VscaleStep step;
+        VscaleStep step = cexStep(run);
         step.id = "S" + std::to_string(steps.size() + 1);
-        step.foundCex = true;
-        step.depth = run.check.cex->depth;
-        step.seconds = run.check.seconds;
-        step.failedAssert = run.check.cex->failedAssert;
-        step.blamed = run.cause.uarchNames();
-        step.staticMissed = run.staticMissed;
-        step.taintUnsound = run.taintUnsoundCex;
-        step.absintUnsound = run.absintUnsoundCex;
         step.description = classify(step.blamed);
 
         bool blackboxedNow = false;
@@ -116,30 +112,7 @@ runVscaleRefinement(const VscaleEvalOptions &options)
         }
         steps.push_back(std::move(step));
     }
-
-    // Final step: with the refined FT the engine keeps searching and
-    // reaches a bounded proof — the same outcome the paper reports for
-    // Vscale ("a bounded proof of depth 21" after 24h; we use a
-    // smaller bound on the downsized model).
-    {
-        phase("vscale: bounded-proof attempt",
-              {{"steps_so_far", std::to_string(steps.size())}});
-        EngineOptions deep = engine;
-        deep.maxDepth = options.proofDepth;
-        const RunResult run =
-            core::runAutocc(duts::buildVscale(config), opts, deep);
-        VscaleStep step;
-        step.id = "proof";
-        step.description = "no CEX under the trusted-OS assumption";
-        step.foundCex = run.foundCex();
-        step.depth = run.check.bound;
-        step.seconds = run.check.seconds;
-        step.refinement = run.foundCex()
-            ? "unexpected CEX"
-            : "bounded proof (depth " +
-              std::to_string(run.check.bound) + ")";
-        steps.push_back(std::move(step));
-    }
+    prove(core::runAutocc(duts::buildVscale(config), opts, engine));
     return steps;
 }
 

@@ -17,40 +17,22 @@
 #ifndef AUTOCC_EVAL_VSCALE_EVAL_HH
 #define AUTOCC_EVAL_VSCALE_EVAL_HH
 
-#include <string>
 #include <vector>
 
-#include "core/autocc.hh"
 #include "duts/vscale.hh"
+#include "eval/ladder.hh"
 
 namespace autocc::eval
 {
 
-/** One row of the Table 2 reproduction. */
-struct VscaleStep
-{
-    std::string id;          ///< V1..V5 / "proof"
-    std::string description; ///< paper-style description
-    std::string refinement;  ///< what the user adds after this CEX
-    bool foundCex = false;
-    unsigned depth = 0;
-    double seconds = 0.0;
-    std::string failedAssert;
-    std::vector<std::string> blamed; ///< FindCause uarch output
-    /** Blamed state missing from the static candidate set (expect []). */
-    std::vector<std::string> staticMissed;
-    /** Discharge-claimed asserts the CEX violates (expect []). */
-    std::vector<std::string> taintUnsound;
-    /** Absint-reduction claims the CEX replay contradicts (expect []). */
-    std::vector<std::string> absintUnsound;
-};
+/** One row of the Table 2 reproduction: S1.. or "proof". */
+using VscaleStep = LadderStep;
 
 /** Options for the run. */
 struct VscaleEvalOptions
 {
     unsigned threshold = 2;  ///< transfer period length
-    unsigned maxDepth = 12;  ///< BMC budget per step
-    unsigned proofDepth = 14; ///< BMC bound for the final proof step
+    unsigned maxDepth = 14;  ///< BMC bound of every step and the proof
     /** Portfolio workers per check (1 = sequential, 0 = auto). */
     unsigned jobs = 0;
     /** Observability sinks threaded into every check of the ladder. */

@@ -260,17 +260,19 @@ TEST(FlushSynth, DecrementalFindsMinimalSet)
 
 TEST(FlushSynth, MinimalPlanIsSound)
 {
-    // Cross-check the minimized plan with a longer budget and
-    // induction: still no CEX.
+    // Cross-check the minimized plan with a longer budget and the
+    // strengthened k-induction proof path: no CEX, and an unbounded
+    // proof backed by BMC to the full budget.
     const FlushSynthResult r = minimizeDecremental(
         duts::buildToyAccel, ToyAccelRegs::all(), toyOptions(), toyEngine());
     EngineOptions engine;
     engine.maxDepth = 16;
-    engine.tryInduction = true;
     engine.maxInductionK = 12;
     const RunResult check =
-        runAutocc(duts::buildToyAccel(r.plan), toyOptions(), engine);
+        proveAutocc(duts::buildToyAccel(r.plan), toyOptions(), engine);
     EXPECT_FALSE(check.foundCex());
+    EXPECT_EQ(check.check.status, CheckStatus::Proved);
+    EXPECT_GE(check.check.bound, 16u);
 }
 
 TEST(Analysis, RenderReportsAndWave)

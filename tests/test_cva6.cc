@@ -267,9 +267,16 @@ class Cva6Evaluation : public ::testing::Test
     static const std::vector<Cva6Step> &
     steps()
     {
-        static const std::vector<Cva6Step> result = runCva6Evaluation();
+        static const std::vector<Cva6Step> result = [] {
+            Cva6EvalOptions options;
+            options.obs.stats = &registry;
+            return runCva6Evaluation(options);
+        }();
         return result;
     }
+
+    /** Stats of the ladder's checks, filled by the first steps(). */
+    static inline obs::Registry registry;
 
     static const Cva6Step *
     find(const std::string &id)
@@ -363,6 +370,14 @@ TEST_F(Cva6Evaluation, FixesValidatedByProof)
     EXPECT_EQ(last.id, "proof");
     EXPECT_FALSE(last.foundCex);
     EXPECT_GE(last.depth, 18u);
+}
+
+TEST_F(Cva6Evaluation, EveryCheckIsAReportedStep)
+{
+    // runAutocc runs the taint pass once per check: a check whose
+    // result the ladder dropped would be a run without a step.
+    const std::size_t reported = steps().size();
+    EXPECT_EQ(registry.counter("taint.runs"), reported);
 }
 
 // ----------------------------------------------------------------------

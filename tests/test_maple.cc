@@ -200,9 +200,16 @@ class MapleEvaluation : public ::testing::Test
     static const std::vector<MapleStep> &
     steps()
     {
-        static const std::vector<MapleStep> result = runMapleEvaluation();
+        static const std::vector<MapleStep> result = [] {
+            MapleEvalOptions options;
+            options.obs.stats = &registry;
+            return runMapleEvaluation(options);
+        }();
         return result;
     }
+
+    /** Stats of the ladder's checks, filled by the first steps(). */
+    static inline obs::Registry registry;
 
     static const MapleStep *
     find(const std::string &id)
@@ -287,6 +294,16 @@ TEST_F(MapleEvaluation, EveryStepHasTiming)
 {
     for (const auto &step : steps())
         EXPECT_GE(step.seconds, 0.0);
+}
+
+TEST_F(MapleEvaluation, EveryCheckIsAReportedStep)
+{
+    // MAPLE's checks call formal::check on a miter carrying the M1
+    // assumption, not runAutocc, so they skip the taint pass; the COI
+    // pass runs once in every formal::check.  A check whose result the
+    // ladder dropped would be a COI pass without a step.
+    const std::size_t reported = steps().size();
+    EXPECT_EQ(registry.counter("coi.runs"), reported);
 }
 
 TEST(MapleAutocc, FixedWithoutBufferAssumptionStillShowsM1)

@@ -224,10 +224,16 @@ class VscaleRefinement : public ::testing::Test
     static const std::vector<VscaleStep> &
     steps()
     {
-        static const std::vector<VscaleStep> result =
-            runVscaleRefinement();
+        static const std::vector<VscaleStep> result = [] {
+            VscaleEvalOptions options;
+            options.obs.stats = &registry;
+            return runVscaleRefinement(options);
+        }();
         return result;
     }
+
+    /** Stats of the ladder's checks, filled by the first steps(). */
+    static inline obs::Registry registry;
 };
 
 TEST_F(VscaleRefinement, TerminatesWithProof)
@@ -323,6 +329,14 @@ TEST_F(VscaleRefinement, DepthsAreMinimalTraces)
     // period plus one observation cycle.
     for (size_t i = 0; i + 1 < steps().size(); ++i)
         EXPECT_GE(steps()[i].depth, 4u) << steps()[i].id;
+}
+
+TEST_F(VscaleRefinement, EveryCheckIsAReportedStep)
+{
+    // runAutocc runs the taint pass once per check: a check whose
+    // result the ladder dropped would be a run without a step.
+    const std::size_t reported = steps().size();
+    EXPECT_EQ(registry.counter("taint.runs"), reported);
 }
 
 // ----------------------------------------------------------------------
